@@ -741,19 +741,74 @@ mod tests {
 
     #[test]
     fn single_job_matches_the_single_trace_scheduler() {
-        let ins = CkksInstance::ins1();
-        let trace = keyswitch_heavy(&ins, 4);
-        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
-        let multi = schedule_jobs(machine, &[(0, &trace, &timings, 0.0)]);
-        multi.check_invariants().unwrap();
-        let dag = TraceDag::from_trace(&trace);
-        let single = crate::ListScheduler::new(machine).schedule(&trace, &timings, &dag);
-        assert!((multi.makespan_seconds - single.makespan_seconds).abs() < 1e-15);
-        assert_eq!(multi.ops.len(), single.ops.len());
-        for (m, s) in multi.ops.iter().zip(&single.ops) {
-            assert!((m.start_seconds - s.start_seconds).abs() < 1e-15);
-            assert!((m.end_seconds - s.end_seconds).abs() < 1e-15);
+        // Bit-for-bit: every registry workload x INS-1/2/3 x {1, 2} TB/s.
+        let registry = bts_workloads::standard_registry();
+        let mut checked = 0;
+        for ins in CkksInstance::evaluation_set() {
+            for hbm in [
+                bts_params::BandwidthModel::hbm_1tb(),
+                bts_params::BandwidthModel::hbm_2tb(),
+            ] {
+                let config = BtsConfig::bts_default().with_hbm(hbm);
+                for (name, workload) in registry.iter() {
+                    let trace = workload.lower(&ins).unwrap().trace;
+                    let (machine, timings) = machine_and_timings(&ins, config.clone(), &trace);
+                    let multi = schedule_jobs(machine, &[(0, &trace, &timings, 0.0)]);
+                    multi.check_invariants().unwrap();
+                    let dag = TraceDag::from_trace(&trace);
+                    let single =
+                        crate::ListScheduler::new(machine).schedule(&trace, &timings, &dag);
+                    let ctx = format!("{name} on {}", ins.name());
+                    let job = &multi.jobs[0];
+                    assert_eq!(
+                        multi.makespan_seconds.to_bits(),
+                        single.makespan_seconds.to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        job.serial_seconds.to_bits(),
+                        single.serial_seconds.to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        job.critical_path_seconds.to_bits(),
+                        single.critical_path_seconds.to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(multi.ops.len(), single.ops.len(), "{ctx}");
+                    for (m, s) in multi.ops.iter().zip(&single.ops) {
+                        assert_eq!(m.index, s.index, "{ctx}");
+                        assert_eq!(
+                            m.start_seconds.to_bits(),
+                            s.start_seconds.to_bits(),
+                            "{ctx}"
+                        );
+                        assert_eq!(m.end_seconds.to_bits(), s.end_seconds.to_bits(), "{ctx}");
+                    }
+                    for kind in FuKind::ALL {
+                        let (mb, sb) = (&multi.busy[kind.index()], &single.busy[kind.index()]);
+                        assert_eq!(mb.len(), sb.len(), "{ctx}");
+                        for (m, s) in mb.iter().zip(sb) {
+                            assert_eq!(m.placement, s.op_index, "{ctx}");
+                            assert_eq!(m.channel, s.channel, "{ctx}");
+                            assert_eq!(
+                                m.start_seconds.to_bits(),
+                                s.start_seconds.to_bits(),
+                                "{ctx}"
+                            );
+                            assert_eq!(m.end_seconds.to_bits(), s.end_seconds.to_bits(), "{ctx}");
+                        }
+                        assert_eq!(
+                            multi.unit_utilization(kind).to_bits(),
+                            single.unit_utilization(kind).to_bits(),
+                            "{ctx}"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
         }
+        assert_eq!(checked, 30);
     }
 
     #[test]
