@@ -16,7 +16,7 @@ use bts_cluster::{
 use bts_params::{min_nttu_count, sweep_dnum, BandwidthModel, CkksInstance, MinBoundModel, L_BOOT};
 use bts_sched::{FuKind, ScheduleExt};
 use bts_serve::{serve as serve_jobs, JobRequest, QueuePolicy, ServeOptions, SyntheticArrivals};
-use bts_sim::{hmult_timeline, ArchPreset, AreaPowerModel, BtsConfig, Simulator};
+use bts_sim::{hmult_timeline, ArchPreset, AreaPowerModel, BtsConfig, Eviction, Simulator};
 use bts_workloads::{
     amortized_mult_per_slot, standard_registry, AmortizedMultWorkload, BaselineSet, HelrWorkload,
     ResNetWorkload, SortingWorkload, UNENCRYPTED_HELR_MS, UNENCRYPTED_RESNET_S,
@@ -690,11 +690,11 @@ pub fn workloads_json() -> String {
                 .lower(ins)
                 .unwrap_or_else(|e| panic!("{name} on {}: {e}", ins.name()));
             let run = sim.run_scheduled(&lowered.trace);
-            let hinted = sim
-                .try_run_with_hints(&lowered.trace, &lowered.hints)
+            let (_, hinted) = sim
+                .try_run(&lowered.trace, Eviction::Hinted(&lowered.hints))
                 .expect("lowered traces validate");
-            let belady = sim
-                .try_run_belady(&lowered.trace)
+            let (_, belady) = sim
+                .try_run(&lowered.trace, Eviction::Belady)
                 .expect("lowered traces validate");
             let report = &run.report;
             rows.push(format!(
@@ -1238,8 +1238,8 @@ pub fn sched() -> String {
                 name,
                 run.report.total_seconds * 1e3,
                 run.schedule.makespan_seconds * 1e3,
-                run.schedule.critical_path_seconds * 1e3,
-                run.schedule.parallel_speedup(),
+                run.schedule.jobs[0].critical_path_seconds * 1e3,
+                run.report.parallel_speedup().expect("scheduled run"),
                 util[FuKind::Nttu.index()] * 100.0,
                 util[FuKind::BConvU.index()] * 100.0,
                 util[FuKind::Hbm.index()] * 100.0,
@@ -1281,11 +1281,11 @@ pub fn hints() -> String {
         ] {
             let lowered = workload.lower(&ins).expect("paper instances");
             let plain = sim.run(&lowered.trace);
-            let hinted = sim
-                .try_run_with_hints(&lowered.trace, &lowered.hints)
+            let (_, hinted) = sim
+                .try_run(&lowered.trace, Eviction::Hinted(&lowered.hints))
                 .expect("lowered traces validate");
-            let belady = sim
-                .try_run_belady(&lowered.trace)
+            let (_, belady) = sim
+                .try_run(&lowered.trace, Eviction::Belady)
                 .expect("lowered traces validate");
             let _ = writeln!(
                 out,
@@ -1332,11 +1332,12 @@ pub fn hints() -> String {
         ins,
     );
     let plain = sim.run(&trace);
-    let hinted = sim
-        .try_run_with_hints(&trace, &bts_sim::EvictionHints::from_trace(&trace))
+    let hints = bts_sim::EvictionHints::from_trace(&trace);
+    let (_, hinted) = sim
+        .try_run(&trace, Eviction::Hinted(&hints))
         .expect("valid microbenchmark trace");
-    let belady = sim
-        .try_run_belady(&trace)
+    let (_, belady) = sim
+        .try_run(&trace, Eviction::Belady)
         .expect("valid microbenchmark trace");
     let _ = writeln!(
         out,

@@ -18,8 +18,7 @@ pub struct LoweredTrace {
     /// Last-use metadata of every ciphertext in the lowered trace: the
     /// backend knows each value's live range at lowering time, so it emits
     /// the dead-ciphertext eviction hints the scratchpad model
-    /// ([`bts_sim::Simulator::try_run_with_hints`]) and the scheduler
-    /// consume.
+    /// ([`bts_sim::Eviction::Hinted`]) and the scheduler consume.
     pub hints: EvictionHints,
 }
 

@@ -15,21 +15,17 @@
 //! 2. [`MachineModel`] (`resources`) — bounded channels for the NTTU,
 //!    BConvU, element-wise units and the HBM stream, with per-op occupancy
 //!    taken from the engine's [`bts_sim::OpCost`] breakdowns.
-//! 3. [`ListScheduler`] (`list_schedule`) — places every op at the earliest
-//!    start compatible with its dependencies, barriers and unit
-//!    reservations; program-order insertion makes
-//!    `critical_path ≤ makespan ≤ serial` a structural guarantee.
-//! 4. [`Schedule`] / [`ScheduledRun`] (`schedule`, `report`) — per-op
-//!    start/end times, per-unit busy intervals, utilizations computed from
-//!    those intervals, a Fig. 8-style multi-op timeline, and the
-//!    [`ScheduleExt::run_scheduled`] entry point that returns a
-//!    [`bts_sim::SimReport`] with `scheduled_seconds`,
-//!    `critical_path_seconds` and `parallel_speedup()` filled in.
-//! 5. [`MultiScheduler`] / [`MultiSchedule`] (`multi`) — the multi-tenant
-//!    extension: a *set* of tagged job DAGs with per-job barriers and release
-//!    times, list-scheduled onto one shared machine so ops from different
+//! 3. [`MultiScheduler`] / [`MultiSchedule`] (`multi`) — the list scheduler:
+//!    a *set* of tagged job DAGs with per-job barriers and release times,
+//!    placed onto one shared machine at the earliest start compatible with
+//!    dependencies, barriers and unit reservations, so ops from different
 //!    jobs interleave on the channels. `bts-serve` drives it incrementally
 //!    (admit → [`MultiScheduler::run_until_completion`] → admit …).
+//! 4. [`ScheduledRun`] (`report`) — the [`ScheduleExt::run_scheduled`] entry
+//!    point: one trace scheduled as a one-job [`MultiSchedule`], returned
+//!    next to a [`bts_sim::SimReport`] with `scheduled_seconds`,
+//!    `critical_path_seconds` and `parallel_speedup()` filled in;
+//!    `critical_path ≤ makespan ≤ serial` holds by construction.
 //!
 //! ```
 //! use bts_params::CkksInstance;
@@ -57,18 +53,14 @@
 #![warn(missing_debug_implementations)]
 
 mod dag;
-mod list_schedule;
 mod multi;
 mod report;
 mod resources;
-mod schedule;
 
 pub use dag::{CriticalPath, TraceDag};
-pub use list_schedule::ListScheduler;
 pub use multi::{
     schedule_jobs, JobCompletion, JobStats, MultiBusyInterval, MultiSchedule, MultiScheduledOp,
     MultiScheduler,
 };
 pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};
-pub use schedule::{BusyInterval, Schedule, ScheduledOp};

@@ -1,16 +1,13 @@
-//! Scheduled execution as a simulator entry point: `run_scheduled` glues the
-//! engine's per-op timings, the trace DAG and the list scheduler together and
-//! returns the familiar [`SimReport`] with the schedule-derived fields filled
-//! in, next to the full [`Schedule`] for timeline/critical-path inspection.
+//! Scheduled execution as a simulator entry point: `run_scheduled` runs the
+//! engine once, schedules its per-op timings as a one-job [`MultiSchedule`],
+//! and returns the familiar [`SimReport`] with the schedule-derived fields
+//! filled in, next to the schedule for timeline/utilization inspection.
 
-use std::fmt::Write as _;
-
-use bts_sim::{EvictionHints, HeOp, OpTrace, SimReport, Simulator, TraceError};
+use bts_sim::{Eviction, HeOp, OpTrace, SimReport, Simulator, TraceError};
 
 use crate::dag::TraceDag;
-use crate::list_schedule::ListScheduler;
-use crate::resources::{FuKind, MachineModel};
-use crate::schedule::Schedule;
+use crate::multi::{schedule_jobs, MultiSchedule};
+use crate::resources::MachineModel;
 
 /// One op on the critical path, for "what limits this workload" reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,98 +23,72 @@ pub struct CriticalOp {
 }
 
 /// Result of a scheduled run: the serial-accounting [`SimReport`] with
-/// `scheduled_seconds` / `critical_path_seconds` filled in, plus the full
-/// [`Schedule`].
+/// `scheduled_seconds` / `critical_path_seconds` filled in, plus the one-job
+/// [`MultiSchedule`] (job tag 0, released at 0).
 #[derive(Debug, Clone)]
 pub struct ScheduledRun {
     /// The simulator report; `total_seconds` is still the serial charge,
     /// `scheduled_seconds` the pipelined makespan.
     pub report: SimReport,
-    /// Per-op placements and per-unit busy intervals.
-    pub schedule: Schedule,
+    /// Per-op placements (in program order) and per-unit busy intervals.
+    pub schedule: MultiSchedule,
 }
 
 impl ScheduledRun {
-    /// The `n` largest ops on the critical path — the ops a latency
-    /// optimization would have to attack first.
-    pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
-        let mut ops: Vec<CriticalOp> = self
-            .schedule
-            .critical_path
-            .iter()
-            .map(|&i| {
-                let op = &self.schedule.ops[i];
-                CriticalOp {
-                    index: i,
-                    op: op.op,
-                    level: op.level,
-                    seconds: op.duration_seconds(),
-                }
+    /// The `n` largest ops on one critical path of `trace` — the ops a
+    /// latency optimization would have to attack first. The witness path is
+    /// rebuilt here from the trace's [`TraceDag`] under the scheduled op
+    /// windows, so scheduling itself never pays for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` is not the trace this run scheduled.
+    pub fn top_critical_ops(&self, trace: &OpTrace, n: usize) -> Vec<CriticalOp> {
+        let ops = &self.schedule.ops;
+        assert_eq!(ops.len(), trace.ops.len(), "run scheduled another trace");
+        let windows: Vec<f64> = ops.iter().map(|o| o.duration_seconds()).collect();
+        let mut top: Vec<CriticalOp> = TraceDag::from_trace(trace)
+            .critical_path(&windows)
+            .ops
+            .into_iter()
+            .map(|i| CriticalOp {
+                index: i,
+                op: ops[i].op,
+                level: ops[i].level,
+                seconds: windows[i],
             })
             .collect();
-        ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
-        ops.truncate(n);
-        ops
-    }
-
-    /// Renders the serial-vs-scheduled comparison as a small text block.
-    pub fn summary(&self) -> String {
-        let s = &self.schedule;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serial {:.3} ms | scheduled {:.3} ms | critical path {:.3} ms | speedup {:.2}x",
-            s.serial_seconds * 1e3,
-            s.makespan_seconds * 1e3,
-            s.critical_path_seconds * 1e3,
-            s.parallel_speedup()
-        );
-        let util = s.utilizations();
-        let _ = writeln!(
-            out,
-            "utilization: NTTU {:.0}% | BConvU {:.0}% | ModMult/ModAdd {:.0}% | HBM {:.0}%",
-            util[FuKind::Nttu.index()] * 100.0,
-            util[FuKind::BConvU.index()] * 100.0,
-            util[FuKind::Elementwise.index()] * 100.0,
-            util[FuKind::Hbm.index()] * 100.0
-        );
-        out
+        top.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
+        top.truncate(n);
+        top
     }
 }
 
 /// Scheduled execution for [`Simulator`]: the `run_scheduled` entry point the
 /// serial `run`/`try_run` pair grows once `bts-sched` is linked in.
 pub trait ScheduleExt {
-    /// Validates the trace, resolves per-op charges, and executes the trace
-    /// as a dependency DAG over the bounded functional units of the
-    /// configuration's [`MachineModel`].
+    /// Validates the trace, resolves per-op charges under `eviction`, and
+    /// executes the trace as a dependency DAG over the bounded functional
+    /// units of the configuration's [`MachineModel`]. The serial accounting
+    /// and the schedule see the same cache behaviour.
     ///
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
-    fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError>;
-
-    /// [`ScheduleExt::try_run_scheduled`] with dead-ciphertext eviction
-    /// hints applied to the cache pass, so the schedule and the serial
-    /// accounting both see the hinted hit rates.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    fn try_run_scheduled_with_hints(
+    fn try_run_scheduled(
         &self,
         trace: &OpTrace,
-        hints: &EvictionHints,
+        eviction: Eviction<'_>,
     ) -> Result<ScheduledRun, TraceError>;
 
-    /// Panicking convenience over [`ScheduleExt::try_run_scheduled`],
+    /// Panicking LRU shorthand for [`ScheduleExt::try_run_scheduled`],
     /// mirroring [`Simulator::run`].
     ///
     /// # Panics
     ///
     /// Panics if the trace fails [`OpTrace::validate`].
     fn run_scheduled(&self, trace: &OpTrace) -> ScheduledRun {
-        match self.try_run_scheduled(trace) {
+        match self.try_run_scheduled(trace, Eviction::Lru) {
             Ok(run) => run,
             Err(e) => panic!("invalid op trace: {e}"),
         }
@@ -125,43 +96,26 @@ pub trait ScheduleExt {
 }
 
 impl ScheduleExt for Simulator {
-    fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
-        let (timings, mut report) = self.try_run_timed(trace, None)?;
-        finish_scheduled(self, trace, &timings, &mut report)
-    }
-
-    fn try_run_scheduled_with_hints(
+    fn try_run_scheduled(
         &self,
         trace: &OpTrace,
-        hints: &EvictionHints,
+        eviction: Eviction<'_>,
     ) -> Result<ScheduledRun, TraceError> {
-        let (timings, mut report) = self.try_run_timed(trace, Some(hints))?;
-        finish_scheduled(self, trace, &timings, &mut report)
+        let (timings, mut report) = self.try_run(trace, eviction)?;
+        let machine = MachineModel::from_config(self.config());
+        let schedule = schedule_jobs(machine, &[(0, trace, &timings, 0.0)]);
+        report.scheduled_seconds = Some(schedule.makespan_seconds);
+        report.critical_path_seconds = Some(schedule.jobs[0].critical_path_seconds);
+        Ok(ScheduledRun { report, schedule })
     }
-}
-
-fn finish_scheduled(
-    sim: &Simulator,
-    trace: &OpTrace,
-    timings: &[bts_sim::OpTiming],
-    report: &mut SimReport,
-) -> Result<ScheduledRun, TraceError> {
-    let dag = TraceDag::from_trace(trace);
-    let schedule =
-        ListScheduler::new(MachineModel::from_config(sim.config())).schedule(trace, timings, &dag);
-    report.scheduled_seconds = Some(schedule.makespan_seconds);
-    report.critical_path_seconds = Some(schedule.critical_path_seconds);
-    Ok(ScheduledRun {
-        report: report.clone(),
-        schedule,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FuKind;
     use bts_params::CkksInstance;
-    use bts_sim::{BtsConfig, TraceBuilder};
+    use bts_sim::{BtsConfig, EvictionHints, TraceBuilder};
 
     fn bsgs_like_trace(ins: &CkksInstance) -> OpTrace {
         // A baby-step/giant-step-shaped stage: independent rotations of one
@@ -222,16 +176,27 @@ mod tests {
     fn top_critical_ops_are_sorted_and_on_the_path() {
         let ins = CkksInstance::ins1();
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
-        let run = sim.run_scheduled(&bsgs_like_trace(&ins));
-        let top = run.top_critical_ops(3);
+        let trace = bsgs_like_trace(&ins);
+        let run = sim.run_scheduled(&trace);
+        let top = run.top_critical_ops(&trace, 3);
         assert!(!top.is_empty() && top.len() <= 3);
         for pair in top.windows(2) {
             assert!(pair[0].seconds >= pair[1].seconds);
         }
+        let windows: Vec<f64> = run
+            .schedule
+            .ops
+            .iter()
+            .map(|o| o.duration_seconds())
+            .collect();
+        let path = TraceDag::from_trace(&trace).critical_path(&windows).ops;
         for op in &top {
-            assert!(run.schedule.critical_path.contains(&op.index));
+            assert!(path.contains(&op.index));
         }
-        assert!(!run.summary().is_empty());
+        // The witness is a longest chain: its windows sum to the critical path.
+        let length: f64 = path.iter().map(|&i| windows[i]).sum();
+        let cp = run.schedule.jobs[0].critical_path_seconds;
+        assert!((length - cp).abs() <= 1e-9 * cp);
         assert!(!run.schedule.timeline(8).is_empty());
     }
 
@@ -244,7 +209,9 @@ mod tests {
         );
         let trace = bsgs_like_trace(&ins);
         let hints = EvictionHints::from_trace(&trace);
-        let hinted = sim.try_run_scheduled_with_hints(&trace, &hints).unwrap();
+        let hinted = sim
+            .try_run_scheduled(&trace, Eviction::Hinted(&hints))
+            .unwrap();
         let plain = sim.run_scheduled(&trace);
         hinted.schedule.check_invariants().unwrap();
         assert!(hinted.report.cache_hit_rate() >= plain.report.cache_hit_rate());
@@ -263,6 +230,6 @@ mod tests {
         let mut trace = b.build();
         trace.ops[0].inputs.push(4242);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        assert!(sim.try_run_scheduled(&trace).is_err());
+        assert!(sim.try_run_scheduled(&trace, Eviction::Lru).is_err());
     }
 }

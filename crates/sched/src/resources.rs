@@ -131,7 +131,7 @@ impl Default for MachineModel {
 mod tests {
     use super::*;
     use bts_params::CkksInstance;
-    use bts_sim::{HeOp, Simulator, TraceBuilder};
+    use bts_sim::{Eviction, HeOp, Simulator, TraceBuilder};
 
     #[test]
     fn demands_fit_inside_the_latency_window() {
@@ -142,7 +142,7 @@ mod tests {
         let m = b.hmult(x, x);
         let r = b.hrescale_at(m, 27);
         b.hadd(r, r, 26);
-        let timings = sim.op_timings(&b.build()).unwrap();
+        let (timings, _) = sim.try_run(&b.build(), Eviction::Lru).unwrap();
         let machine = MachineModel::from_config(sim.config());
         for t in &timings {
             let d = machine.demand(t);
@@ -166,7 +166,7 @@ mod tests {
         let x = b.fresh_ct(27);
         b.hmult(x, x); // cold: streams the operand too
         b.hmult(x, x); // warm: pure evk stream, the Fig. 8 shape
-        let timings = sim.op_timings(&b.build()).unwrap();
+        let (timings, _) = sim.try_run(&b.build(), Eviction::Lru).unwrap();
         let d = MachineModel::from_config(sim.config()).demand(&timings[1]);
         let hbm = d.busy[FuKind::Hbm.index()];
         let ntt = d.busy[FuKind::Nttu.index()];

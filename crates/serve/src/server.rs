@@ -43,7 +43,7 @@
 use bts_fault::{FaultPlan, RetryPolicy};
 use bts_params::L_BOOT;
 use bts_sched::{MachineModel, MultiSchedule, MultiScheduler};
-use bts_sim::{BtsConfig, OpTiming, OpTrace, SimReport, Simulator};
+use bts_sim::{BtsConfig, Eviction, OpTiming, OpTrace, SimReport, Simulator};
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ServeError;
@@ -745,7 +745,7 @@ impl BtsServer {
         });
         let (timings, report) =
             simulator
-                .try_run_timed(&lowered.trace, None)
+                .try_run(&lowered.trace, Eviction::Lru)
                 .map_err(|source| ServeError::Trace {
                     job: job.id,
                     source,

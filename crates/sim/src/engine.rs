@@ -179,9 +179,9 @@ pub struct OpCost {
 /// One op's execution charge after resolving ciphertext operands against the
 /// scratchpad cache in program order: the raw unit costs plus the HBM traffic
 /// and the serial latency the engine bills for the op. Produced by
-/// [`Simulator::op_timings`]; both the serial accounting and `bts-sched`'s
-/// list scheduler fold over the same vector, so the two execution modes can
-/// never disagree on per-op costs.
+/// [`Simulator::try_run`]; both the serial accounting and `bts-sched`'s
+/// scheduler fold over the same vector, so the two execution modes can never
+/// disagree on per-op costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpTiming {
     /// Cache-independent unit costs.
@@ -200,6 +200,26 @@ pub struct OpTiming {
     pub cache_misses: usize,
     /// Scratchpad demand while the op runs (temporaries + resident cts).
     pub scratch_bytes: u64,
+}
+
+/// Ciphertext-cache replacement policy for [`Simulator::try_run`].
+#[derive(Debug, Clone, Copy)]
+pub enum Eviction<'a> {
+    /// Least-recently-used replacement.
+    Lru,
+    /// LRU plus dead-ciphertext hints: ids listed in `evict_after[i]` leave
+    /// the scratchpad as soon as op `i` retires, freeing space for live
+    /// ciphertexts instead of waiting for LRU pressure.
+    Hinted(&'a EvictionHints),
+    /// Belady-style (MIN) replacement: on pressure, the ciphertext whose next
+    /// use lies furthest in the future loses — a resident is evicted, or the
+    /// incoming ciphertext is bypassed (not cached) when it is itself the
+    /// furthest-needed. Next-use distances are exact (the trace is fully
+    /// known at simulation time), so this is the reference bound LRU and
+    /// last-use hints are measured against. With variable-size ciphertexts
+    /// exact offline optimality is a knapsack problem; this is the standard
+    /// furthest-next-use heuristic, not a proven optimum.
+    Belady,
 }
 
 /// The BTS accelerator simulator.
@@ -323,7 +343,8 @@ impl Simulator {
         cost
     }
 
-    /// Runs a trace and reports performance, traffic, utilization and energy.
+    /// Runs a trace under LRU eviction and reports performance, traffic,
+    /// utilization and energy.
     ///
     /// # Panics
     ///
@@ -331,68 +352,31 @@ impl Simulator {
     /// ids or out-of-budget levels); use [`Simulator::try_run`] to handle the
     /// error instead.
     pub fn run(&self, trace: &OpTrace) -> SimReport {
-        match self.try_run(trace) {
-            Ok(report) => report,
+        match self.try_run(trace, Eviction::Lru) {
+            Ok((_, report)) => report,
             Err(e) => panic!("invalid op trace: {e}"),
         }
     }
 
-    /// Validates a trace ([`OpTrace::validate`]) and runs it.
+    /// Validates a trace ([`OpTrace::validate`]) and runs it once under the
+    /// given ciphertext-cache policy, returning the per-op timings and the
+    /// report folded from them. The timings are the single source of per-op
+    /// truth: `bts-sched` schedules the same vector onto bounded functional
+    /// units, so serial and scheduled execution never disagree on what one
+    /// op costs.
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
-    pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, crate::trace::TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings(trace)?))
-    }
-
-    /// Runs a trace with dead-ciphertext eviction hints applied to the
-    /// software-managed cache: ids listed in `hints.evict_after[i]` are
-    /// dropped from the scratchpad as soon as op `i` retires, freeing space
-    /// for live ciphertexts instead of waiting for LRU pressure (the ROADMAP
-    /// "circuit-level caching hints" item).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn try_run_with_hints(
+    /// Returns the first structural defect found in the trace, or a hints
+    /// arity mismatch for [`Eviction::Hinted`].
+    pub fn try_run(
         &self,
         trace: &OpTrace,
-        hints: &EvictionHints,
-    ) -> Result<SimReport, crate::trace::TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings_with_hints(trace, Some(hints))?))
-    }
-
-    /// Validates and runs a trace once, returning both the per-op timings and
-    /// the folded report. This is the single-pass entry `bts-sched` builds
-    /// schedules from: the cache-simulation sweep runs once and both the
-    /// serial accounting and the scheduler consume the same vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace (or a hints
-    /// arity mismatch).
-    pub fn try_run_timed(
-        &self,
-        trace: &OpTrace,
-        hints: Option<&EvictionHints>,
+        eviction: Eviction<'_>,
     ) -> Result<(Vec<OpTiming>, SimReport), crate::trace::TraceError> {
-        let timings = self.op_timings_with_hints(trace, hints)?;
+        let timings = self.op_timings(trace, eviction)?;
         let report = self.fold_report(trace, &timings);
         Ok((timings, report))
-    }
-
-    /// Per-op execution charges with the scratchpad cache resolved in program
-    /// order. This is the single source of per-op truth: [`Simulator::try_run`]
-    /// folds the vector into a [`SimReport`], and `bts-sched` schedules the
-    /// same timings onto bounded functional units, so the two modes can never
-    /// diverge on what one op costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        self.op_timings_with_hints(trace, None)
     }
 
     /// Ciphertext ids that are *forwarded* rather than cached: op outputs
@@ -424,62 +408,20 @@ impl Simulator {
         forwarded
     }
 
-    /// [`Simulator::op_timings`] with optional dead-ciphertext eviction hints
-    /// applied to the cache pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn op_timings_with_hints(
+    /// The cache-resolution sweep behind [`Simulator::try_run`]: per-op
+    /// charges with the scratchpad cache resolved in program order under
+    /// `eviction`.
+    fn op_timings(
         &self,
         trace: &OpTrace,
-        hints: Option<&EvictionHints>,
-    ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        self.op_timings_impl(trace, hints, false)
-    }
-
-    /// [`Simulator::op_timings`] with Belady-style (MIN) replacement in the
-    /// ciphertext cache: on pressure, the ciphertext whose next use lies
-    /// furthest in the future loses — a resident is evicted, or the incoming
-    /// ciphertext is bypassed (not cached) when it is itself the
-    /// furthest-needed, so dead data goes first and sooner-needed residents
-    /// survive. Next-use distances are exact — the trace is fully known at
-    /// simulation time, the same liveness information `LoweredTrace::hints`
-    /// is derived from — so this is the reference bound practical policies
-    /// (LRU, last-use hints) are measured against. (With variable-size
-    /// ciphertexts exact offline optimality is a knapsack problem; this is
-    /// the standard furthest-next-use heuristic, not a proven optimum.)
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn op_timings_belady(
-        &self,
-        trace: &OpTrace,
-    ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        self.op_timings_impl(trace, None, true)
-    }
-
-    /// Runs a trace with Belady (furthest-next-use) ciphertext eviction — see
-    /// [`Simulator::op_timings_belady`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, crate::trace::TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings_belady(trace)?))
-    }
-
-    /// The shared cache-resolution sweep behind every `op_timings*` entry
-    /// point. `belady` switches the replacement policy from LRU (optionally
-    /// assisted by dead-ciphertext `hints`) to furthest-next-use.
-    fn op_timings_impl(
-        &self,
-        trace: &OpTrace,
-        hints: Option<&EvictionHints>,
-        belady: bool,
+        eviction: Eviction<'_>,
     ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
         trace.validate()?;
+        let (hints, belady) = match eviction {
+            Eviction::Lru => (None, false),
+            Eviction::Hinted(hints) => (Some(hints), false),
+            Eviction::Belady => (None, true),
+        };
         if let Some(hints) = hints {
             if hints.len() != trace.ops.len() {
                 return Err(crate::trace::TraceError::HintArityMismatch {
@@ -1043,9 +985,9 @@ mod tests {
         let mut trace = b.build();
         trace.ops[0].inputs.push(12345); // dangling id
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        assert!(sim.try_run(&trace).is_err());
+        assert!(sim.try_run(&trace, Eviction::Lru).is_err());
         trace.ops[0].inputs.pop();
-        assert!(sim.try_run(&trace).is_ok());
+        assert!(sim.try_run(&trace, Eviction::Lru).is_ok());
     }
 
     #[test]
@@ -1072,9 +1014,8 @@ mod tests {
             ins,
         );
         let plain = sim.run(&trace);
-        let hinted = sim
-            .try_run_with_hints(&trace, &EvictionHints::from_trace(&trace))
-            .unwrap();
+        let hints = EvictionHints::from_trace(&trace);
+        let (_, hinted) = sim.try_run(&trace, Eviction::Hinted(&hints)).unwrap();
         assert!(
             hinted.cache_hit_rate() > plain.cache_hit_rate(),
             "hinted {} should beat plain {}",
@@ -1108,10 +1049,9 @@ mod tests {
             ins,
         );
         let plain = sim.run(&trace);
-        let hinted = sim
-            .try_run_with_hints(&trace, &EvictionHints::from_trace(&trace))
-            .unwrap();
-        let belady = sim.try_run_belady(&trace).unwrap();
+        let hints = EvictionHints::from_trace(&trace);
+        let (_, hinted) = sim.try_run(&trace, Eviction::Hinted(&hints)).unwrap();
+        let (_, belady) = sim.try_run(&trace, Eviction::Belady).unwrap();
         assert!(
             belady.cache_hit_rate() > plain.cache_hit_rate(),
             "belady {} should beat LRU {}",
@@ -1160,8 +1100,8 @@ mod tests {
             BtsConfig::bts_default().with_scratchpad_bytes(4 * 1024 * 1024 * 1024),
             ins,
         );
-        let lru = sim.op_timings(&trace).unwrap();
-        let belady = sim.op_timings_belady(&trace).unwrap();
+        let (lru, _) = sim.try_run(&trace, Eviction::Lru).unwrap();
+        let (belady, _) = sim.try_run(&trace, Eviction::Belady).unwrap();
         assert_eq!(lru, belady);
     }
 
@@ -1212,13 +1152,13 @@ mod tests {
         longer.extend(&b2.build());
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         assert_eq!(
-            sim.try_run_with_hints(&longer, &hints).err(),
+            sim.try_run(&longer, Eviction::Hinted(&hints)).err(),
             Some(TraceError::HintArityMismatch {
                 hint_ops: 1,
                 trace_ops: 2
             })
         );
-        assert!(sim.try_run_with_hints(&short, &hints).is_ok());
+        assert!(sim.try_run(&short, Eviction::Hinted(&hints)).is_ok());
     }
 
     #[test]
@@ -1254,8 +1194,7 @@ mod tests {
         b.hrescale_at(z, 39);
         let trace = b.build();
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings = sim.op_timings(&trace).unwrap();
-        let report = sim.run(&trace);
+        let (timings, report) = sim.try_run(&trace, Eviction::Lru).unwrap();
         let sum: f64 = timings.iter().map(|t| t.seconds).sum();
         assert!((sum - report.total_seconds).abs() < 1e-15);
         let hbm: u64 = timings.iter().map(|t| t.hbm_bytes).sum();

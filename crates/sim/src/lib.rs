@@ -47,7 +47,7 @@ mod twiddle;
 
 pub use config::{ArchPreset, BtsConfig, ConfigError};
 pub use cost::{AreaPowerModel, ComponentCost, EdapPoint};
-pub use engine::{OpClassStats, OpCost, OpTiming, SimReport, Simulator};
+pub use engine::{Eviction, OpClassStats, OpCost, OpTiming, SimReport, Simulator};
 pub use f1::{F1Model, PlatformRow};
 pub use keyswitch::{FunctionalUnit, KeySwitchSchedule, Phase};
 pub use noc::{BruNoc, PeMemNoc, PePeNoc};

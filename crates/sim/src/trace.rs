@@ -409,8 +409,8 @@ impl TraceBuilder {
 
 /// Dead-ciphertext eviction hints derived from a trace's last-use analysis:
 /// for every op index, the ciphertext ids whose final access happens at that
-/// op. The scratchpad cache uses them ([`crate::Simulator::try_run_with_hints`])
-/// to drop dead ciphertexts immediately instead of waiting for LRU pressure,
+/// op. The scratchpad cache uses them ([`crate::Eviction::Hinted`]) to drop
+/// dead ciphertexts immediately instead of waiting for LRU pressure,
 /// and the scheduler reuses the same liveness information.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvictionHints {

@@ -53,11 +53,11 @@ fn main() {
         println!(
             "scheduled: {:.2} ms (critical path {:.2} ms) — speedup {:.3}x over serial",
             run.schedule.makespan_seconds * 1e3,
-            run.schedule.critical_path_seconds * 1e3,
+            run.schedule.jobs[0].critical_path_seconds * 1e3,
             run.report.parallel_speedup().expect("scheduled run"),
         );
         println!("top critical-path ops (what a latency optimization must attack):");
-        for c in run.top_critical_ops(3) {
+        for c in run.top_critical_ops(&lowered.trace, 3) {
             println!(
                 "  #{:<5} {:<10?} at level {:<3} {:>8.1} µs",
                 c.index,

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use bts::params::CkksInstance;
-use bts::sched::{FuKind, ListScheduler, MachineModel, ScheduleExt, TraceDag};
-use bts::sim::{BtsConfig, OpTrace, Simulator};
+use bts::sched::{schedule_jobs, FuKind, MachineModel, ScheduleExt, TraceDag};
+use bts::sim::{BtsConfig, Eviction, OpTrace, Simulator};
 
 mod common;
 
@@ -27,15 +27,16 @@ proptest! {
         let trace = random_trace(&ins, seed, ops);
         prop_assert!(trace.validate().is_ok());
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let run = sim.try_run_scheduled(&trace).unwrap();
+        let run = sim.try_run_scheduled(&trace, Eviction::Lru).unwrap();
         let s = &run.schedule;
-        let eps = 1e-9 * s.serial_seconds.max(1e-12);
-        prop_assert!(s.critical_path_seconds <= s.makespan_seconds + eps,
-            "cp {} > makespan {}", s.critical_path_seconds, s.makespan_seconds);
-        prop_assert!(s.makespan_seconds <= s.serial_seconds + eps,
-            "makespan {} > serial {}", s.makespan_seconds, s.serial_seconds);
+        let (serial, cp) = (s.jobs[0].serial_seconds, s.jobs[0].critical_path_seconds);
+        let eps = 1e-9 * serial.max(1e-12);
+        prop_assert!(cp <= s.makespan_seconds + eps,
+            "cp {} > makespan {}", cp, s.makespan_seconds);
+        prop_assert!(s.makespan_seconds <= serial + eps,
+            "makespan {} > serial {}", s.makespan_seconds, serial);
         // The serial reference the schedule carries is the engine's total.
-        prop_assert!((s.serial_seconds - run.report.total_seconds).abs() <= eps);
+        prop_assert!((serial - run.report.total_seconds).abs() <= eps);
         prop_assert!(run.report.parallel_speedup().unwrap() >= 1.0);
         // And the schedule's own structural checker agrees.
         s.check_invariants().unwrap();
@@ -46,8 +47,8 @@ proptest! {
         let ins = CkksInstance::ins2();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let a = sim.try_run_scheduled(&trace).unwrap();
-        let b = sim.try_run_scheduled(&trace).unwrap();
+        let a = sim.try_run_scheduled(&trace, Eviction::Lru).unwrap();
+        let b = sim.try_run_scheduled(&trace, Eviction::Lru).unwrap();
         prop_assert_eq!(a.schedule, b.schedule);
     }
 
@@ -56,10 +57,9 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings = sim.op_timings(&trace).unwrap();
-        let dag = TraceDag::from_trace(&trace);
+        let (timings, _) = sim.try_run(&trace, Eviction::Lru).unwrap();
         let machine = MachineModel::from_config(sim.config());
-        let schedule = ListScheduler::new(machine).schedule(&trace, &timings, &dag);
+        let schedule = schedule_jobs(machine, &[(0, &trace, &timings, 0.0)]);
         for kind in FuKind::ALL {
             for channel in 0..machine.channels(kind) {
                 let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
@@ -84,10 +84,10 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let run = sim.try_run_scheduled(&trace).unwrap();
+        let run = sim.try_run_scheduled(&trace, Eviction::Lru).unwrap();
         let dag = TraceDag::from_trace(&trace);
         let s = &run.schedule;
-        let eps = 1e-12 * s.serial_seconds.max(1e-12);
+        let eps = 1e-12 * s.serial_seconds().max(1e-12);
         for i in 0..dag.len() {
             for &d in dag.deps(i) {
                 prop_assert!(

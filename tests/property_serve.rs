@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use bts::params::CkksInstance;
 use bts::sched::{schedule_jobs, FuKind, MachineModel, TraceDag};
 use bts::serve::{serve, QueuePolicy, ServeOptions, SyntheticArrivals};
-use bts::sim::{BtsConfig, OpTrace, Simulator};
+use bts::sim::{BtsConfig, Eviction, OpTrace, Simulator};
 
 mod common;
 use common::random_trace;
@@ -35,7 +35,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let traces = random_job_mix(&ins, seed, jobs, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings: Vec<_> = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
+        let timings: Vec<_> = traces.iter().map(|t| sim.try_run(t, Eviction::Lru).unwrap().0).collect();
         let spec: Vec<_> = traces
             .iter()
             .zip(&timings)
@@ -80,7 +80,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let traces = random_job_mix(&ins, seed, jobs, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings: Vec<_> = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
+        let timings: Vec<_> = traces.iter().map(|t| sim.try_run(t, Eviction::Lru).unwrap().0).collect();
         let spec: Vec<_> = traces
             .iter()
             .zip(&timings)
@@ -115,7 +115,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let traces = random_job_mix(&ins, seed, jobs, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings: Vec<_> = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
+        let timings: Vec<_> = traces.iter().map(|t| sim.try_run(t, Eviction::Lru).unwrap().0).collect();
         let spec: Vec<_> = traces
             .iter()
             .zip(&timings)
@@ -148,7 +148,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let traces = random_job_mix(&ins, seed, jobs, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings: Vec<_> = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
+        let timings: Vec<_> = traces.iter().map(|t| sim.try_run(t, Eviction::Lru).unwrap().0).collect();
         // Staggered releases: job j may not start before j · release_ms.
         let spec: Vec<_> = traces
             .iter()
