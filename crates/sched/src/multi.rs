@@ -360,7 +360,7 @@ struct JobState {
     next: usize,
     /// Per-op inputs, released once the last op is placed or the job is
     /// cancelled.
-    pending: Option<PendingOps>,
+    per_op: Option<PerOpState>,
     /// Barrier bookkeeping: max finish over all ops of earlier segments,
     /// maintained as a running max snapshotted at segment boundaries.
     barrier: f64,
@@ -374,7 +374,7 @@ struct JobState {
 
 /// What a job needs per op until its last op is placed.
 #[derive(Debug, Clone)]
-struct PendingOps {
+struct PerOpState {
     ops: Vec<(HeOp, u32, bool)>, // (op, level, in_bootstrap)
     demands: Vec<OpDemand>,
     dag: TraceDag,
@@ -465,7 +465,7 @@ impl MultiScheduler {
             release: release_seconds,
             len,
             next: 0,
-            pending: (!empty).then(|| PendingOps {
+            per_op: (!empty).then(|| PerOpState {
                 ops: trace
                     .ops
                     .iter()
@@ -518,7 +518,7 @@ impl MultiScheduler {
         if let Some(pos) = self.active.iter().position(|&a| a == j) {
             self.active.remove(pos);
             self.jobs[j].cancelled = true;
-            self.jobs[j].pending = None;
+            self.jobs[j].per_op = None;
             return true;
         }
         if let Some(pos) = self.pending.iter().position(|c| c.tag == tag) {
@@ -600,16 +600,16 @@ impl MultiScheduler {
     /// Earliest feasible start of a job's next op under the current horizons.
     fn earliest_start(&self, job: &JobState) -> f64 {
         let i = job.next;
-        let pending = job.pending.as_ref().expect("active job keeps its ops");
-        let demand = &pending.demands[i];
-        let barrier = if i > 0 && pending.dag.segment(i) != pending.dag.segment(i - 1) {
+        let per_op = job.per_op.as_ref().expect("active job keeps its ops");
+        let demand = &per_op.demands[i];
+        let barrier = if i > 0 && per_op.dag.segment(i) != per_op.dag.segment(i - 1) {
             job.running_max_finish
         } else {
             job.barrier
         };
         let mut ready = job.release.max(barrier);
-        for &d in pending.dag.deps(i) {
-            ready = ready.max(pending.finish[d as usize]);
+        for &d in per_op.dag.deps(i) {
+            ready = ready.max(per_op.finish[d as usize]);
         }
         // Earliest start honouring every unit: the chosen channel frees at
         // h, and the op's reservation of b seconds must end within the window
@@ -641,14 +641,14 @@ impl MultiScheduler {
         let j = self.active[pos];
         let job = &mut self.jobs[j];
         let i = job.next;
-        let pending = job.pending.as_mut().expect("active job keeps its ops");
-        let demand = pending.demands[i];
-        if i > 0 && pending.dag.segment(i) != pending.dag.segment(i - 1) {
+        let per_op = job.per_op.as_mut().expect("active job keeps its ops");
+        let demand = per_op.demands[i];
+        if i > 0 && per_op.dag.segment(i) != per_op.dag.segment(i - 1) {
             job.barrier = job.running_max_finish;
         }
         let end = start + demand.duration;
-        let (op, level, in_bootstrap) = pending.ops[i];
-        pending.finish[i] = end;
+        let (op, level, in_bootstrap) = per_op.ops[i];
+        per_op.finish[i] = end;
         job.running_max_finish = job.running_max_finish.max(end);
         job.max_end = job.max_end.max(end);
         if job.first_start.is_none() {
@@ -657,7 +657,7 @@ impl MultiScheduler {
         job.next += 1;
         let completed = job.next == job.len;
         if completed {
-            job.pending = None;
+            job.per_op = None;
         }
         let completion = JobCompletion {
             tag: job.tag,
