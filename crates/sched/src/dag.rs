@@ -15,9 +15,12 @@ use bts_sim::{CtId, OpTrace};
 /// integrity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDag {
-    /// `deps[i]`: indices of the producing ops of op `i`'s ciphertext
-    /// operands (deduplicated; trace inputs have no producer).
-    deps: Vec<Vec<u32>>,
+    /// `deps[dep_start[i]..dep_start[i + 1]]`: indices of the producing ops
+    /// of op `i`'s ciphertext operands (deduplicated, ascending; trace
+    /// inputs have no producer). One flat vector instead of one per op keeps
+    /// a job's DAG to three allocations.
+    deps: Vec<u32>,
+    dep_start: Vec<u32>,
     /// Barrier segment of every op; nondecreasing in program order.
     segment: Vec<u32>,
 }
@@ -36,7 +39,9 @@ impl TraceDag {
     /// Builds the DAG for a trace in one forward pass.
     pub fn from_trace(trace: &OpTrace) -> Self {
         let mut producer: HashMap<CtId, u32> = HashMap::new();
-        let mut deps = Vec::with_capacity(trace.ops.len());
+        let mut deps = Vec::new();
+        let mut dep_start = Vec::with_capacity(trace.ops.len() + 1);
+        dep_start.push(0);
         let mut segment = Vec::with_capacity(trace.ops.len());
         let mut current_segment = 0u32;
         for (i, op) in trace.ops.iter().enumerate() {
@@ -44,34 +49,40 @@ impl TraceDag {
                 current_segment += 1;
             }
             segment.push(current_segment);
-            let mut d: Vec<u32> = op
-                .inputs
-                .iter()
-                .filter_map(|id| producer.get(id).copied())
-                .collect();
-            d.sort_unstable();
-            d.dedup();
-            deps.push(d);
+            let first = deps.len();
+            for id in &op.inputs {
+                if let Some(&p) = producer.get(id) {
+                    if !deps[first..].contains(&p) {
+                        deps.push(p);
+                    }
+                }
+            }
+            deps[first..].sort_unstable();
+            dep_start.push(deps.len() as u32);
             if let Some(out) = op.output {
                 producer.insert(out, i as u32);
             }
         }
-        Self { deps, segment }
+        Self {
+            deps,
+            dep_start,
+            segment,
+        }
     }
 
     /// Number of ops.
     pub fn len(&self) -> usize {
-        self.deps.len()
+        self.segment.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.deps.is_empty()
+        self.segment.is_empty()
     }
 
     /// Data dependencies (producing op indices) of op `i`.
     pub fn deps(&self, i: usize) -> &[u32] {
-        &self.deps[i]
+        &self.deps[self.dep_start[i] as usize..self.dep_start[i + 1] as usize]
     }
 
     /// Barrier segment of op `i`.
@@ -86,7 +97,7 @@ impl TraceDag {
 
     /// Total number of data edges.
     pub fn edge_count(&self) -> usize {
-        self.deps.iter().map(Vec::len).sum()
+        self.deps.len()
     }
 
     /// Longest chain through the DAG — data edges *and* barriers — when op
@@ -113,7 +124,7 @@ impl TraceDag {
             }
             let mut ready = barrier.0;
             let mut pred = barrier.1;
-            for &d in &self.deps[i] {
+            for &d in self.deps(i) {
                 let f = earliest_finish[d as usize];
                 if f > ready {
                     ready = f;
