@@ -378,28 +378,6 @@ impl CircuitBuilder {
         ))
     }
 
-    /// Whether any instruction after node `index` that (transitively) depends
-    /// on `root` consumes a level. Dependence is not propagated through
-    /// bootstrap or modulus-raise nodes — their result level does not depend
-    /// on their input's.
-    fn suffix_consumes_levels(nodes: &[HeInstrNode], index: usize, root: ValueId) -> bool {
-        let mut reach: HashSet<ValueId> = HashSet::from([root]);
-        for node in &nodes[index + 1..] {
-            let (a, b) = node.instr.operands();
-            if !(reach.contains(&a) || b.is_some_and(|b| reach.contains(&b))) {
-                continue;
-            }
-            match node.instr {
-                HeInstr::Rescale { .. } => return true,
-                HeInstr::Bootstrap { .. } | HeInstr::ModRaise { .. } => {}
-                _ => {
-                    reach.insert(node.result);
-                }
-            }
-        }
-        false
-    }
-
     /// Finalizes the circuit. If no output was declared, the last defined
     /// value (when one exists) becomes the output, so every circuit has
     /// something for the functional backend to decrypt.
@@ -425,52 +403,54 @@ impl CircuitBuilder {
             nodes: self.nodes,
             outputs: self.outputs,
         };
-        let prunable: Vec<usize> = circuit
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| {
-                self.auto_bootstraps.contains(&n.result)
-                    && matches!(n.instr, HeInstr::Bootstrap { .. })
-                    && !Self::suffix_consumes_levels(&circuit.nodes, *i, n.result)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if prunable.is_empty() {
+        // Whether a value (transitively) feeds a later rescale, in one
+        // backward sweep. Dependence is not propagated through bootstrap or
+        // modulus-raise nodes — their result level does not depend on their
+        // input's.
+        let mut feeds_rescale = vec![false; self.values.len()];
+        for node in circuit.nodes.iter().rev() {
+            let feeds = match node.instr {
+                HeInstr::Rescale { .. } => true,
+                HeInstr::Bootstrap { .. } | HeInstr::ModRaise { .. } => false,
+                _ => feeds_rescale[node.result as usize],
+            };
+            if feeds {
+                let (a, b) = node.instr.operands();
+                feeds_rescale[a as usize] = true;
+                if let Some(b) = b {
+                    feeds_rescale[b as usize] = true;
+                }
+            }
+        }
+        let prunable = |n: &HeInstrNode| {
+            matches!(n.instr, HeInstr::Bootstrap { .. })
+                && self.auto_bootstraps.contains(&n.result)
+                && !feeds_rescale[n.result as usize]
+        };
+        if !circuit.nodes.iter().any(prunable) {
             return circuit;
         }
-        let mut candidate = circuit.clone();
-        for &i in prunable.iter().rev() {
-            let node = candidate.nodes.remove(i);
-            let HeInstr::Bootstrap { a } = node.instr else {
-                unreachable!("prunable indices are bootstrap markers");
-            };
-            let redirect = |v: &mut ValueId| {
-                if *v == node.result {
-                    *v = a;
-                }
-            };
-            for n in &mut candidate.nodes {
-                match &mut n.instr {
-                    HeInstr::HMult { a, b } | HeInstr::HAdd { a, b } => {
-                        redirect(a);
-                        redirect(b);
-                    }
-                    HeInstr::HRot { a, .. }
-                    | HeInstr::Conjugate { a }
-                    | HeInstr::PMult { a, .. }
-                    | HeInstr::PAdd { a, .. }
-                    | HeInstr::Rescale { a }
-                    | HeInstr::CMult { a, .. }
-                    | HeInstr::CAdd { a, .. }
-                    | HeInstr::ModRaise { a }
-                    | HeInstr::Bootstrap { a } => redirect(a),
-                }
-            }
-            for out in &mut candidate.outputs {
-                redirect(out);
+        // One forward sweep: each pruned marker's result is redirected to its
+        // (already redirected) input.
+        let mut redirect: Vec<ValueId> = (0..self.values.len() as ValueId).collect();
+        let mut nodes = Vec::with_capacity(circuit.nodes.len());
+        for node in &circuit.nodes {
+            let instr = node.instr.map_operands(|v| redirect[v as usize]);
+            match instr {
+                HeInstr::Bootstrap { a } if prunable(node) => redirect[node.result as usize] = a,
+                _ => nodes.push(HeInstrNode { instr, ..*node }),
             }
         }
+        let mut candidate = HeCircuit {
+            instance: circuit.instance.clone(),
+            inputs: circuit.inputs.clone(),
+            nodes,
+            outputs: circuit
+                .outputs
+                .iter()
+                .map(|&v| redirect[v as usize])
+                .collect(),
+        };
         // The builder's invariants guarantee the pruned circuit re-analyzes;
         // fall back to the unpruned circuit defensively if it ever does not.
         match crate::passes::analysis::relevel(&mut candidate) {

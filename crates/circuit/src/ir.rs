@@ -127,6 +127,24 @@ impl HeInstr {
             | HeInstr::Bootstrap { a } => (a, None),
         }
     }
+
+    /// The same instruction with every operand id passed through `f` — the
+    /// one rewrite passes need when they redirect uses of a value.
+    pub fn map_operands(self, f: impl Fn(ValueId) -> ValueId) -> HeInstr {
+        match self {
+            HeInstr::HMult { a, b } => HeInstr::HMult { a: f(a), b: f(b) },
+            HeInstr::HAdd { a, b } => HeInstr::HAdd { a: f(a), b: f(b) },
+            HeInstr::HRot { a, rotation } => HeInstr::HRot { a: f(a), rotation },
+            HeInstr::Conjugate { a } => HeInstr::Conjugate { a: f(a) },
+            HeInstr::PMult { a, value } => HeInstr::PMult { a: f(a), value },
+            HeInstr::PAdd { a, value } => HeInstr::PAdd { a: f(a), value },
+            HeInstr::Rescale { a } => HeInstr::Rescale { a: f(a) },
+            HeInstr::CMult { a, value } => HeInstr::CMult { a: f(a), value },
+            HeInstr::CAdd { a, value } => HeInstr::CAdd { a: f(a), value },
+            HeInstr::ModRaise { a } => HeInstr::ModRaise { a: f(a) },
+            HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: f(a) },
+        }
+    }
 }
 
 /// A circuit input: a fresh ciphertext arriving from the host at some level.

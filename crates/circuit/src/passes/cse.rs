@@ -52,23 +52,6 @@ fn key_of(instr: &HeInstr) -> Option<ExprKey> {
     })
 }
 
-fn substitute(instr: HeInstr, repr: &HashMap<ValueId, ValueId>) -> HeInstr {
-    let r = |v: ValueId| *repr.get(&v).unwrap_or(&v);
-    match instr {
-        HeInstr::HMult { a, b } => HeInstr::HMult { a: r(a), b: r(b) },
-        HeInstr::HAdd { a, b } => HeInstr::HAdd { a: r(a), b: r(b) },
-        HeInstr::HRot { a, rotation } => HeInstr::HRot { a: r(a), rotation },
-        HeInstr::Conjugate { a } => HeInstr::Conjugate { a: r(a) },
-        HeInstr::PMult { a, value } => HeInstr::PMult { a: r(a), value },
-        HeInstr::PAdd { a, value } => HeInstr::PAdd { a: r(a), value },
-        HeInstr::Rescale { a } => HeInstr::Rescale { a: r(a) },
-        HeInstr::CMult { a, value } => HeInstr::CMult { a: r(a), value },
-        HeInstr::CAdd { a, value } => HeInstr::CAdd { a: r(a), value },
-        HeInstr::ModRaise { a } => HeInstr::ModRaise { a: r(a) },
-        HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: r(a) },
-    }
-}
-
 /// Value-numbering CSE over all pure deterministic instructions.
 ///
 /// One forward scan: each instruction is first rewritten to use the
@@ -91,7 +74,7 @@ impl Pass for CommonSubexprPass {
         let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
         for node in &circuit.nodes {
-            let instr = substitute(node.instr, &repr);
+            let instr = node.instr.map_operands(|v| *repr.get(&v).unwrap_or(&v));
             if let Some(key) = key_of(&instr) {
                 if let Some(&existing) = table.get(&key) {
                     repr.insert(node.result, existing);

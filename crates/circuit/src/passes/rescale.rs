@@ -184,23 +184,6 @@ impl<'c> Rewriter<'c> {
     }
 }
 
-fn substitute(instr: HeInstr, repr: &HashMap<ValueId, ValueId>) -> HeInstr {
-    let r = |v: ValueId| *repr.get(&v).unwrap_or(&v);
-    match instr {
-        HeInstr::HMult { a, b } => HeInstr::HMult { a: r(a), b: r(b) },
-        HeInstr::HAdd { a, b } => HeInstr::HAdd { a: r(a), b: r(b) },
-        HeInstr::HRot { a, rotation } => HeInstr::HRot { a: r(a), rotation },
-        HeInstr::Conjugate { a } => HeInstr::Conjugate { a: r(a) },
-        HeInstr::PMult { a, value } => HeInstr::PMult { a: r(a), value },
-        HeInstr::PAdd { a, value } => HeInstr::PAdd { a: r(a), value },
-        HeInstr::Rescale { a } => HeInstr::Rescale { a: r(a) },
-        HeInstr::CMult { a, value } => HeInstr::CMult { a: r(a), value },
-        HeInstr::CAdd { a, value } => HeInstr::CAdd { a: r(a), value },
-        HeInstr::ModRaise { a } => HeInstr::ModRaise { a: r(a) },
-        HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: r(a) },
-    }
-}
-
 impl Pass for RescaleSchedPass {
     fn name(&self) -> &'static str {
         "rescale-sched"
@@ -213,7 +196,7 @@ impl Pass for RescaleSchedPass {
         for (i, node) in circuit.nodes.iter().enumerate() {
             let HeInstr::Rescale { a: acc } = node.instr else {
                 nodes.push(HeInstrNode {
-                    instr: substitute(node.instr, &repr),
+                    instr: node.instr.map_operands(|v| *repr.get(&v).unwrap_or(&v)),
                     ..*node
                 });
                 continue;
@@ -308,7 +291,7 @@ impl Pass for RescaleSchedPass {
                 }
             }
             nodes.push(HeInstrNode {
-                instr: substitute(node.instr, &repr),
+                instr: node.instr.map_operands(|v| *repr.get(&v).unwrap_or(&v)),
                 ..*node
             });
         }
