@@ -4,13 +4,31 @@
 //! applications schedule by, which necessarily over-provisions: the final
 //! refresh of a circuit often guards a suffix that would have fit in the
 //! levels already available. With the whole program in hand, this pass has
-//! the global view the builder lacked: it tentatively deletes each marker
-//! (latest first, where slack accumulates), recomputes every downstream level
-//! by dataflow, and keeps the deletion only when the whole circuit still
-//! analyzes — every value within the level budget, every rescale above level
-//! 0. A bootstrap expands to hundreds of key-switches (the full
-//! CoeffToSlot → EvalMod → SlotToCoeff pipeline), so each deletion is by far
-//! the largest single win any pass in the pipeline can deliver.
+//! the global view the builder lacked. A bootstrap expands to hundreds of
+//! key-switches (the full CoeffToSlot → EvalMod → SlotToCoeff pipeline), so
+//! each deletion is by far the largest single win any pass in the pipeline
+//! can deliver.
+//!
+//! The pass deletes every marker the level budget proves unnecessary, latest
+//! first, in one backward sweep over the program:
+//!
+//! * one forward dataflow pass records each value's level;
+//! * walking back from the outputs, `need[v]` is the fewest levels `v` must
+//!   carry so that every rescale downstream of it — up to the next kept
+//!   marker or modulus raise, whose result level ignores its input's — still
+//!   runs at level ≥ 1. A rescale adds one to its result's need, every other
+//!   op passes its result's need to its operands;
+//! * a marker is deleted iff its input already carries the levels its result
+//!   needs (`level[a] ≥ need[result]`); a deleted marker then passes its need
+//!   on to its input like any level-preserving op.
+//!
+//! Deleting a marker whose input sits at or below the usable top level only
+//! lowers levels downstream, so a later marker the sweep kept stays needed,
+//! and the sweep returns exactly what greedy latest-first deletion iterated
+//! to a fixpoint would. A marker whose input sits *above* the usable top
+//! (after a modulus raise, or an input arriving at the full budget) raises
+//! the levels downstream when deleted and may free a later marker, so the
+//! sweep restarts from the end after such a deletion.
 //!
 //! Markers whose result is itself a circuit output are kept even when
 //! removable: the caller asked for a refreshed, top-level ciphertext, and
@@ -19,77 +37,88 @@
 //! meaningful).
 
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, HeInstr, ValueId};
+use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
 use crate::passes::analysis;
 use crate::passes::Pass;
 
-/// Greedy latest-first bootstrap deletion under the level budget.
+/// Latest-first bootstrap deletion under the level budget, in one backward
+/// sweep (plus one more after each deletion that raises levels).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BootstrapPlacePass;
 
-/// Removes node `index` (a bootstrap marker), redirecting every use of its
-/// result to its input, and repairs downstream levels. Returns `None` if the
-/// resulting circuit no longer analyzes (the suffix genuinely needs the
-/// refresh).
-fn try_remove(circuit: &HeCircuit, index: usize) -> Option<HeCircuit> {
-    let HeInstr::Bootstrap { a } = circuit.nodes[index].instr else {
-        return None;
-    };
-    let removed = circuit.nodes[index].result;
-    if circuit.outputs.contains(&removed) {
-        return None;
+/// One past the largest value id (ids have gaps after CSE and DCE), the
+/// length of a dense per-value table.
+fn id_bound(circuit: &HeCircuit) -> usize {
+    circuit
+        .inputs
+        .iter()
+        .map(|i| i.id)
+        .chain(circuit.nodes.iter().map(|n| n.result))
+        .max()
+        .map_or(0, |m| m as usize + 1)
+}
+
+/// Which nodes (by index) are deleted markers, and how many backward sweeps
+/// deciding that took.
+fn place(circuit: &HeCircuit) -> (Vec<bool>, usize) {
+    let ids = id_bound(circuit);
+    let top = circuit.instance.usable_top_level();
+    let max_level = circuit.instance.max_level();
+    let mut is_output = vec![false; ids];
+    for &v in &circuit.outputs {
+        is_output[v as usize] = true;
     }
-    let redirect = |v: ValueId| if v == removed { a } else { v };
-    let mut nodes = Vec::with_capacity(circuit.nodes.len() - 1);
-    for (i, node) in circuit.nodes.iter().enumerate() {
-        if i == index {
-            continue;
+    let mut removed = vec![false; circuit.nodes.len()];
+    let mut level = vec![0usize; ids];
+    let mut need = vec![0usize; ids];
+    let mut sweeps = 0;
+    loop {
+        sweeps += 1;
+        for input in &circuit.inputs {
+            level[input.id as usize] = input.level;
         }
-        let mut node = *node;
-        node.instr = match node.instr {
-            HeInstr::HMult { a, b } => HeInstr::HMult {
-                a: redirect(a),
-                b: redirect(b),
-            },
-            HeInstr::HAdd { a, b } => HeInstr::HAdd {
-                a: redirect(a),
-                b: redirect(b),
-            },
-            HeInstr::HRot { a, rotation } => HeInstr::HRot {
-                a: redirect(a),
-                rotation,
-            },
-            HeInstr::Conjugate { a } => HeInstr::Conjugate { a: redirect(a) },
-            HeInstr::PMult { a, value } => HeInstr::PMult {
-                a: redirect(a),
-                value,
-            },
-            HeInstr::PAdd { a, value } => HeInstr::PAdd {
-                a: redirect(a),
-                value,
-            },
-            HeInstr::Rescale { a } => HeInstr::Rescale { a: redirect(a) },
-            HeInstr::CMult { a, value } => HeInstr::CMult {
-                a: redirect(a),
-                value,
-            },
-            HeInstr::CAdd { a, value } => HeInstr::CAdd {
-                a: redirect(a),
-                value,
-            },
-            HeInstr::ModRaise { a } => HeInstr::ModRaise { a: redirect(a) },
-            HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: redirect(a) },
-        };
-        nodes.push(node);
+        for (node, &gone) in circuit.nodes.iter().zip(&removed) {
+            let (a, b) = node.instr.operands();
+            let la = level[a as usize];
+            level[node.result as usize] = match node.instr {
+                HeInstr::HMult { .. } | HeInstr::HAdd { .. } => {
+                    la.min(level[b.expect("binary op") as usize])
+                }
+                HeInstr::Rescale { .. } => la.saturating_sub(1),
+                HeInstr::ModRaise { .. } => max_level,
+                HeInstr::Bootstrap { .. } if !gone => top,
+                _ => la,
+            };
+        }
+        need.fill(0);
+        let mut raised = false;
+        for (node, gone) in circuit.nodes.iter().zip(removed.iter_mut()).rev() {
+            let r = need[node.result as usize];
+            let (a, b) = node.instr.operands();
+            let pass_on = match node.instr {
+                HeInstr::Rescale { .. } => r + 1,
+                HeInstr::ModRaise { .. } => continue,
+                HeInstr::Bootstrap { .. } if !*gone => {
+                    if is_output[node.result as usize] || level[a as usize] < r {
+                        continue;
+                    }
+                    *gone = true;
+                    if level[a as usize] > top {
+                        raised = true;
+                        break;
+                    }
+                    r
+                }
+                _ => r,
+            };
+            for v in std::iter::once(a).chain(b) {
+                need[v as usize] = need[v as usize].max(pass_on);
+            }
+        }
+        if !raised {
+            return (removed, sweeps);
+        }
     }
-    let mut candidate = HeCircuit {
-        instance: circuit.instance.clone(),
-        inputs: circuit.inputs.clone(),
-        nodes,
-        outputs: circuit.outputs.clone(),
-    };
-    analysis::relevel(&mut candidate).ok()?;
-    Some(candidate)
 }
 
 impl Pass for BootstrapPlacePass {
@@ -99,33 +128,29 @@ impl Pass for BootstrapPlacePass {
 
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         circuit.validate()?;
-        let mut current = circuit.clone();
-        // Latest-first: trailing markers guard the shortest suffixes and are
-        // the likeliest to be redundant; removing one never makes an earlier
-        // removal easier, but looping to a fixpoint keeps the result
-        // order-independent.
-        loop {
-            let markers: Vec<usize> = current
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| matches!(n.instr, HeInstr::Bootstrap { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            let mut changed = false;
-            for &i in markers.iter().rev() {
-                if let Some(candidate) = try_remove(&current, i) {
-                    current = candidate;
-                    changed = true;
-                    break;
-                }
-            }
-            if !changed {
-                break;
+        let (removed, _) = place(circuit);
+        if !removed.contains(&true) {
+            analysis::check(circuit)?;
+            return Ok(circuit.clone());
+        }
+        let mut redirect: Vec<ValueId> = (0..id_bound(circuit) as ValueId).collect();
+        let mut nodes = Vec::with_capacity(circuit.nodes.len());
+        for (node, &gone) in circuit.nodes.iter().zip(&removed) {
+            let instr = node.instr.map_operands(|v| redirect[v as usize]);
+            match instr {
+                HeInstr::Bootstrap { a } if gone => redirect[node.result as usize] = a,
+                _ => nodes.push(HeInstrNode { instr, ..*node }),
             }
         }
-        analysis::check(&current)?;
-        Ok(current)
+        let mut out = HeCircuit {
+            instance: circuit.instance.clone(),
+            inputs: circuit.inputs.clone(),
+            nodes,
+            outputs: circuit.outputs.clone(),
+        };
+        analysis::relevel(&mut out)?;
+        analysis::check(&out)?;
+        Ok(out)
     }
 }
 
@@ -199,5 +224,53 @@ mod tests {
         let circuit = b.build();
         let out = BootstrapPlacePass.run(&circuit).unwrap();
         assert_eq!(out.bootstrap_count(), 1);
+    }
+
+    #[test]
+    fn markers_at_or_below_the_usable_top_take_one_sweep() {
+        // 1,000 explicit refreshes after suffixes of varying depth: some
+        // deletable, some load-bearing, every input at or below the top.
+        let ins = CkksInstance::ins1();
+        let top = ins.usable_top_level();
+        let mut b = CircuitBuilder::new(&ins);
+        let mut x = b.input();
+        for i in 0..1000 {
+            x = burn(&mut b, x, 1 + i % top);
+            x = b.bootstrap(x).unwrap();
+        }
+        x = burn(&mut b, x, 1);
+        b.output(x);
+        let circuit = b.build();
+        assert_eq!(circuit.bootstrap_count(), 1000);
+
+        let (removed, sweeps) = place(&circuit);
+        assert_eq!(sweeps, 1);
+        let kept = circuit.bootstrap_count() - removed.iter().filter(|&&r| r).count();
+        assert!(0 < kept && kept < 1000, "{kept} markers kept");
+        let out = BootstrapPlacePass.run(&circuit).unwrap();
+        assert_eq!(out.bootstrap_count(), kept);
+    }
+
+    #[test]
+    fn deleting_a_marker_above_the_usable_top_sweeps_again() {
+        // The first refresh takes a full-budget input: deleting it raises
+        // every level downstream, which frees the second refresh too.
+        let ins = CkksInstance::ins1();
+        let top = ins.usable_top_level();
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input_at(ins.max_level());
+        let x = b.bootstrap(x).unwrap();
+        let x = burn(&mut b, x, top);
+        let x = b.bootstrap(x).unwrap();
+        let x = burn(&mut b, x, 1);
+        b.output(x);
+        let circuit = b.build();
+
+        let (removed, sweeps) = place(&circuit);
+        assert!(sweeps > 1, "{sweeps} sweep(s)");
+        assert_eq!(removed.iter().filter(|&&r| r).count(), 2);
+        let out = BootstrapPlacePass.run(&circuit).unwrap();
+        assert_eq!(out.bootstrap_count(), 0);
+        analysis::check(&out).unwrap();
     }
 }

@@ -7,12 +7,14 @@
 //! trace, because compilation preserves instruction order and therefore the
 //! whole randomness stream.
 
+use bts::circuit::passes::analysis;
 use bts::circuit::{
     compile, Backend, BootstrapPlacePass, CircuitBuilder, CommonSubexprPass, DeadValuePass,
-    FunctionalBackend, FunctionalRun, HeCircuit, Pass, PassPipeline, RescaleSchedPass,
+    FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, Pass, PassPipeline, RescaleSchedPass,
     TraceBackend,
 };
 use bts::params::CkksInstance;
+use bts::workloads::standard_registry;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -89,6 +91,89 @@ fn random_bootstrapping_circuit(ins: &CkksInstance, codes: &[u32]) -> HeCircuit 
     }
     b.output(cur);
     b.build()
+}
+
+/// Like [`random_bootstrapping_circuit`] but starting at the full budget and
+/// sometimes raising the modulus before an explicit bootstrap, so markers
+/// whose input sits *above* the usable top level occur: deleting one raises
+/// every level downstream instead of lowering it.
+fn random_raised_bootstrap_circuit(ins: &CkksInstance, codes: &[u32]) -> HeCircuit {
+    let mut b = CircuitBuilder::new(ins);
+    let mut cur = b.input_at(ins.max_level());
+    for &code in codes {
+        cur = match code % 9 {
+            7 => b.bootstrap(cur).unwrap_or(cur),
+            8 => match b.mod_raise(cur) {
+                Ok(raised) => b.bootstrap(raised).unwrap_or(raised),
+                Err(_) => cur,
+            },
+            _ => {
+                let cur = b.ensure(cur, 2).unwrap_or(cur);
+                apply(&mut b, cur, code / 9)
+            }
+        };
+    }
+    b.output(cur);
+    b.build()
+}
+
+/// The greedy latest-first fixpoint that [`BootstrapPlacePass`] computes in
+/// a sweep: tentatively delete each marker (latest first) by redirecting its
+/// uses to its input, re-level the whole circuit, keep the deletion when it
+/// still analyzes, and start over after every deletion until none succeeds.
+fn fixpoint_place(circuit: &HeCircuit) -> HeCircuit {
+    let mut current = circuit.clone();
+    'restart: loop {
+        for i in (0..current.nodes.len()).rev() {
+            let HeInstr::Bootstrap { a } = current.nodes[i].instr else {
+                continue;
+            };
+            let removed = current.nodes[i].result;
+            if current.outputs.contains(&removed) {
+                continue;
+            }
+            let mut candidate = current.clone();
+            candidate.nodes.remove(i);
+            for node in &mut candidate.nodes {
+                node.instr = node
+                    .instr
+                    .map_operands(|v| if v == removed { a } else { v });
+            }
+            if analysis::relevel(&mut candidate).is_ok() {
+                current = candidate;
+                continue 'restart;
+            }
+        }
+        return current;
+    }
+}
+
+/// The circuit bootstrap placement sees in the standard pipeline.
+fn before_placement(circuit: &HeCircuit) -> HeCircuit {
+    let c = CommonSubexprPass.run(circuit).unwrap();
+    RescaleSchedPass.run(&c).unwrap()
+}
+
+#[test]
+fn bootstrap_placement_matches_the_fixpoint_on_every_registry_point() {
+    let registry = standard_registry();
+    let mut points = 0;
+    for ins in CkksInstance::evaluation_set() {
+        for (name, workload) in registry.iter() {
+            let circuit = before_placement(&workload.build(&ins).unwrap());
+            let placed = BootstrapPlacePass.run(&circuit).unwrap();
+            let oracle = fixpoint_place(&circuit);
+            assert!(placed == oracle, "{name} on {}", ins.name());
+            eprintln!(
+                "{name} {}: {} -> {} bootstraps, equal",
+                ins.name(),
+                circuit.bootstrap_count(),
+                placed.bootstrap_count()
+            );
+            points += 1;
+        }
+    }
+    assert_eq!(points, 15);
 }
 
 fn run_functional(
@@ -304,5 +389,28 @@ proptest! {
         let baseline = run_functional(&ins, &circuit, seed)?;
         let run = run_functional(&ins, &opt, seed)?;
         assert_outputs_close(&baseline, &run, 5e-2, "bootstrap pipeline")?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Bootstrap placement returns exactly the greedy latest-first fixpoint,
+    /// on level-pressured circuits and on circuits whose markers sit above
+    /// the usable top level.
+    #[test]
+    fn bootstrap_placement_matches_the_fixpoint(
+        extra_levels in 0usize..8,
+        codes in proptest::collection::vec(any::<u32>(), 32),
+    ) {
+        let ins = CkksInstance::toy(10, 19 + extra_levels, 2);
+        for circuit in [
+            random_bootstrapping_circuit(&ins, &codes),
+            random_raised_bootstrap_circuit(&ins, &codes),
+        ] {
+            let placed = BootstrapPlacePass.run(&circuit);
+            prop_assert!(placed.is_ok(), "placement failed: {:?}", placed.err());
+            prop_assert_eq!(placed.unwrap(), fixpoint_place(&circuit));
+        }
     }
 }
