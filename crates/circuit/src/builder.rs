@@ -416,9 +416,8 @@ impl CircuitBuilder {
             };
             if feeds {
                 let (a, b) = node.instr.operands();
-                feeds_rescale[a as usize] = true;
-                if let Some(b) = b {
-                    feeds_rescale[b as usize] = true;
+                for v in std::iter::once(a).chain(b) {
+                    feeds_rescale[v as usize] = true;
                 }
             }
         }
@@ -430,8 +429,7 @@ impl CircuitBuilder {
         if !circuit.nodes.iter().any(prunable) {
             return circuit;
         }
-        // One forward sweep: each pruned marker's result is redirected to its
-        // (already redirected) input.
+        // Uses of a pruned marker's result move to its (redirected) input.
         let mut redirect: Vec<ValueId> = (0..self.values.len() as ValueId).collect();
         let mut nodes = Vec::with_capacity(circuit.nodes.len());
         for node in &circuit.nodes {
