@@ -21,7 +21,7 @@
 //! Between the builder and the backends sits an optimizing compiler:
 //! [`PassPipeline::standard`] rewrites the SSA circuit (rotation CSE with
 //! plaintext-mask hoisting in [`CommonSubexprPass`], key-switch-aware
-//! rescale scheduling in [`RescaleSchedPass`], fixpoint bootstrap placement
+//! rescale scheduling in [`RescaleSchedPass`], one-sweep bootstrap placement
 //! in [`BootstrapPlacePass`], dead-value pruning in [`DeadValuePass`]), and
 //! [`compile`] lowers any circuit to a flat register-machine
 //! [`CompiledCircuit`] both backends execute without per-op dispatch
